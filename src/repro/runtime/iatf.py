@@ -8,9 +8,10 @@ This is the library's main entry point::
     C = iatf.gemm(A, B, C, alpha=1.0)    # run-time stage: plan + execute
     t = iatf.time_gemm(problem)          # cycle-model performance
 
-Plans are cached per problem configuration, mirroring the paper's
-run-time stage generating the execution plan once and amortizing it
-over the batch.
+Plans are cached per batch-free shape and bound to each call's batch
+(:meth:`~repro.runtime.plan.ExecutionPlan.for_batch`), mirroring the
+paper's run-time stage generating the execution plan once and
+amortizing it over the batch.
 """
 
 from __future__ import annotations
@@ -35,13 +36,18 @@ __all__ = ["IATF", "PlanCache"]
 
 
 class PlanCache:
-    """Bounded, thread-safe LRU map from problem-configuration keys to
-    plans — and to their lowered :class:`CompiledPlan`, which rides in a
-    side slot of the same entry so one eviction drops both.
+    """Bounded, thread-safe LRU map from batch-free shape keys to plans
+    — and to their lowered :class:`CompiledPlan`, which rides in a side
+    slot of the same entry so one eviction drops both.
 
-    The paper amortizes plan generation over the batch, so hits are the
-    common case; the bound exists so a long-lived service sweeping many
-    shapes cannot grow without limit.  Hit/miss/eviction totals are
+    A key names routine, shape, dtype, modes, ``alpha``/``beta`` and
+    the planning options, but not the batch: the cached plan and its
+    lowering are bound to each call's batch at lookup time
+    (``ExecutionPlan.for_batch`` / ``CompiledPlan.for_groups``), so one
+    entry serves every batch count of a shape.  The paper amortizes
+    plan generation over the batch, so hits are the common case; the
+    bound exists so a long-lived service sweeping many shapes cannot
+    grow without limit.  Hit/miss/eviction totals are
     kept unconditionally (plain ints, negligible cost) and mirrored
     into the obs registry when instrumentation is enabled.  All
     operations take one re-entrant lock, making concurrent planning
@@ -240,7 +246,7 @@ class IATF:
         key = self._gemm_key(problem, force_pack, autotune, record)
         plan = self._plan_cache.get(key)
         if plan is not None:
-            return plan, key
+            return plan.for_batch(problem.batch), key
         with obs.span("plan.gemm", autotune=autotune,
                       tuned=record is not None):
             if autotune:
@@ -499,7 +505,7 @@ class IATF:
         key = self._trsm_key(problem, force_pack, record)
         plan = self._plan_cache.get(key)
         if plan is not None:
-            return plan, key
+            return plan.for_batch(problem.batch), key
         with obs.span("plan.trsm", tuned=record is not None):
             if record is not None:
                 plan = build_trsm_plan(
@@ -525,21 +531,27 @@ class IATF:
             return None
         return (record.main, record.force_pack, record.schedule)
 
+    # Keys carry the shape at batch 1: plans are bound to the call's
+    # batch on lookup.  Autotuned keys keep the batch, because the sweep
+    # picks its winner by timing candidates at the problem's batch.
+
     @classmethod
     def _gemm_key(cls, problem: GemmProblem, force_pack: bool,
                   autotune: bool, record=None) -> tuple:
-        return ("gemm", problem, force_pack, autotune,
-                cls._record_sig(record))
+        shape = problem if autotune else problem.with_batch(1)
+        return ("gemm", shape, force_pack, autotune, cls._record_sig(record))
 
     @classmethod
     def _trsm_key(cls, problem: TrsmProblem, force_pack: bool,
                   record=None) -> tuple:
-        return ("trsm", problem, force_pack, cls._record_sig(record))
+        return ("trsm", problem.with_batch(1), force_pack,
+                cls._record_sig(record))
 
     def _compiled_for(self, key: tuple,
                       plan: ExecutionPlan) -> "CompiledPlan | None":
-        """The plan's cached lowering, lowering (and caching) on first
-        use.  ``None`` when the active backend executes plans directly.
+        """The plan's cached lowering bound to its group count, lowering
+        (and caching) on first use.  ``None`` when the active backend
+        executes plans directly.
         """
         if not self.engine.backend.needs_lowering:
             return None
@@ -547,7 +559,7 @@ class IATF:
         if compiled is None:
             compiled = lower_plan(plan)
             self._plan_cache.put_compiled(key, compiled)
-        return compiled
+        return compiled.for_groups(plan.groups)
 
     @property
     def plan_cache_stats(self) -> dict:

@@ -25,7 +25,8 @@ views and in-place ufuncs:
 
 Lowering is pure analysis: it never touches matrix data, so a
 ``CompiledPlan`` is cached alongside its plan in the
-:class:`~repro.runtime.iatf.PlanCache` and reused for every batch.
+:class:`~repro.runtime.iatf.PlanCache` and reused for every batch
+(:meth:`CompiledPlan.for_groups` re-binds the group count).
 
 After validation an **optimizing pass pipeline** (:func:`optimize_commands`)
 rewrites a second copy of the stream into macro-ops the ``fused``

@@ -3,14 +3,18 @@
 A plan is the input-independent command queue for one problem shape:
 which kernels run, in what order, reading and writing which byte
 offsets of which buffers.  Offsets depend only on shapes, so a plan is
-generated once per problem configuration and reused for every batch —
-the paper's "it only generates this execution plan at the beginning ...
-these overheads are negligible when apportioned to each matrix".
+generated once per shape and reused for every batch — the paper's "it
+only generates this execution plan at the beginning ... these overheads
+are negligible when apportioned to each matrix".  The few fields that
+follow the batch (group count, batch-counter round and residency
+verdicts, whole-batch pack costs) are bound by :func:`_bind_batch`,
+both when a plan is built and when :meth:`ExecutionPlan.for_batch`
+re-targets a cached one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..codegen.registry import KernelRegistry
 from ..codegen.tiling import decompose_dim, tile_starts
@@ -77,6 +81,20 @@ class ExecutionPlan:
     groups_per_round: int
     meta: dict = field(default_factory=dict)
 
+    def for_batch(self, batch: int) -> "ExecutionPlan":
+        """This plan bound to another batch count.
+
+        A shallow view: ``calls``, buffer strides and ``meta`` are
+        shared and only the batch-dependent fields are recomputed, so
+        timing and execution see exactly what a plan built at ``batch``
+        would carry.  Returns ``self`` when the batch already matches.
+        """
+        if batch == self.problem.batch:
+            return self
+        return replace(self, **_bind_batch(
+            self.kind, self.problem.with_batch(batch), self.machine,
+            self.calls, self.buffers, self.meta))
+
     @property
     def kernels_used(self) -> list[str]:
         return sorted({c.program.name for c in self.calls})
@@ -97,6 +115,81 @@ class ExecutionPlan:
 def _elem_bytes(dtype: BlasDType, machine: MachineConfig) -> int:
     ncomp = 2 if dtype.is_complex else 1
     return machine.lanes(dtype) * ncomp * dtype.real_itemsize
+
+
+def _gemm_pack_costs(problem: GemmProblem, buffers: dict[str, BufferSpec],
+                     meta: dict, groups: int) -> "tuple[PackCost, PackCost]":
+    ew = problem.dtype.real_itemsize
+    pack = PackCost(ew=ew)
+    for name, tiles in (("packA", meta["m_tiles"]),
+                        ("packB", meta["n_tiles"])):
+        spec = buffers.get(name)
+        if spec is not None:
+            nb = spec.group_stride_bytes * groups
+            pack = pack + PackCost(bytes_read=nb, bytes_written=nb,
+                                   panels=len(tiles) * groups, ew=ew)
+    return pack, PackCost(ew=ew)
+
+
+def _trsm_pack_costs(problem: TrsmProblem, buffers: dict[str, BufferSpec],
+                     meta: dict, groups: int) -> "tuple[PackCost, PackCost]":
+    dt = problem.dtype
+    ew = dt.real_itemsize
+    norm, nblocks = meta["norm"], len(meta["blocks"])
+    tri = buffers["packT"].group_stride_bytes * groups
+    divs = 0 if norm.unit else norm.d * (2 if dt.is_complex else 1)
+    pack = PackCost(bytes_read=tri, bytes_written=tri,
+                    panels=(nblocks + sum(range(nblocks))) * groups,
+                    div_vectors=divs * groups, ew=ew)
+    unpack = PackCost(ew=ew)
+    work_b = buffers.get("workB")
+    if work_b is not None:
+        wb = work_b.group_stride_bytes * groups
+        ob = buffers["B"].group_stride_bytes * groups
+        pack = pack + PackCost(bytes_read=ob, bytes_written=wb,
+                               panels=groups, ew=ew)
+        unpack = PackCost(bytes_read=wb, bytes_written=ob, panels=groups,
+                          ew=ew)
+    return pack, unpack
+
+
+_BATCH_MODELS = {
+    "gemm": (gemm_group_working_bytes, _gemm_pack_costs),
+    "trsm": (trsm_group_working_bytes, _trsm_pack_costs),
+}
+
+
+def _bind_batch(kind: str, problem: "GemmProblem | TrsmProblem",
+                machine: MachineConfig, calls: list[KernelCall],
+                buffers: dict[str, BufferSpec], meta: dict) -> dict:
+    """The batch-dependent :class:`ExecutionPlan` fields for ``problem``.
+
+    Group count, the batch counter's round size and residency verdicts,
+    and the whole-batch pack/unpack costs; everything else a plan holds
+    depends on the shape alone.  Buffers the kernels stream their inputs
+    from (packed panels, or the origins on the no-pack path) share the
+    round's residency; the rest (origin C, origins that are packed
+    first) start cold.
+    """
+    model = _BATCH_MODELS.get(kind)
+    if model is None:
+        raise PlanError(f"no batch model for {kind!r} plans")
+    working_bytes, pack_costs = model
+    lanes = machine.lanes(problem.dtype)
+    groups = padded_count(problem.batch, lanes) // lanes
+    work = working_bytes(problem, machine)
+    gpr = groups_per_round(work, machine, total_groups=groups)
+    packed_warm = "l1" if work * min(gpr, groups) <= machine.l1.size else "l2"
+    streamed = {c.a_buf for c in calls} | {c.b_buf for c in calls}
+    bound = {}
+    for name, spec in buffers.items():
+        warm = packed_warm if name in streamed else "cold"
+        bound[name] = spec if spec.warm == warm else replace(spec, warm=warm)
+    pack, unpack = pack_costs(problem, buffers, meta, groups)
+    return {
+        "problem": problem, "groups": groups, "groups_per_round": gpr,
+        "buffers": bound, "pack_cost": pack, "unpack_cost": unpack,
+    }
 
 
 def build_gemm_plan(problem: GemmProblem, machine: MachineConfig,
@@ -140,12 +233,6 @@ def build_gemm_plan(problem: GemmProblem, machine: MachineConfig,
         pos += nt * p.k * eb
     b_stride = pos
 
-    lanes = machine.lanes(dt)
-    groups = padded_count(p.batch, lanes) // lanes
-    work = gemm_group_working_bytes(p, machine)
-    gpr = groups_per_round(work, machine, total_groups=groups)
-    packed_warm = "l1" if work * min(gpr, groups) <= machine.l1.size else "l2"
-
     a_buf = "A" if a_nopack else "packA"
     b_buf = "B" if b_nopack else "packB"
 
@@ -161,48 +248,29 @@ def build_gemm_plan(problem: GemmProblem, machine: MachineConfig,
                 c_buf="C", c_offsets=c_offs,
             ))
 
-    # one BufferSpec per operand, built once with its final residency:
-    # kernels stream straight from A/B only on the no-pack path, where
-    # those buffers inherit the packed-buffer warmth verdict
+    # one BufferSpec per operand; residency is bound with the batch
     a_shape = p.a_shape
     b_shape = p.b_shape
     buffers = {
-        "A": BufferSpec("A", a_shape[0] * a_shape[1] * eb,
-                        warm=packed_warm if a_nopack else "cold"),
-        "B": BufferSpec("B", b_shape[0] * b_shape[1] * eb,
-                        warm=packed_warm if b_nopack else "cold"),
-        "C": BufferSpec("C", p.m * p.n * eb, warm="cold"),
+        "A": BufferSpec("A", a_shape[0] * a_shape[1] * eb),
+        "B": BufferSpec("B", b_shape[0] * b_shape[1] * eb),
+        "C": BufferSpec("C", p.m * p.n * eb),
     }
     if not a_nopack:
-        buffers["packA"] = BufferSpec("packA", a_stride, warm=packed_warm)
+        buffers["packA"] = BufferSpec("packA", a_stride)
     if not b_nopack:
-        buffers["packB"] = BufferSpec("packB", b_stride, warm=packed_warm)
+        buffers["packB"] = BufferSpec("packB", b_stride)
 
-    pack = PackCost(ew=dt.real_itemsize)
-    if not a_nopack:
-        nb = a_stride * groups
-        pack = pack + PackCost(bytes_read=nb, bytes_written=nb,
-                               panels=len(m_tiles) * groups,
-                               ew=dt.real_itemsize)
-    if not b_nopack:
-        nb = b_stride * groups
-        pack = pack + PackCost(bytes_read=nb, bytes_written=nb,
-                               panels=len(n_tiles) * groups,
-                               ew=dt.real_itemsize)
-
+    meta = {
+        "m_tiles": m_tiles, "n_tiles": n_tiles,
+        "main_kernel": (mc_main, nc_main),
+        "packing": decision.description,
+        "pack_reasons": {"A": decision.reason_a,
+                         "B": decision.reason_b},
+    }
     return ExecutionPlan(
-        kind="gemm", problem=p, machine=machine, calls=calls,
-        buffers=buffers, pack_cost=pack,
-        unpack_cost=PackCost(ew=dt.real_itemsize),
-        groups=groups, groups_per_round=gpr,
-        meta={
-            "m_tiles": m_tiles, "n_tiles": n_tiles,
-            "main_kernel": (mc_main, nc_main),
-            "packing": decision.description,
-            "pack_reasons": {"A": decision.reason_a,
-                             "B": decision.reason_b},
-        },
-    )
+        kind="gemm", machine=machine, calls=calls, meta=meta,
+        **_bind_batch("gemm", p, machine, calls, buffers, meta))
 
 
 def build_trsm_plan(problem: TrsmProblem, machine: MachineConfig,
@@ -216,11 +284,6 @@ def build_trsm_plan(problem: TrsmProblem, machine: MachineConfig,
     decision = select_trsm_packing(p, registry, force_pack, tuned_pack)
     norm = decision.norm
     d, n_rhs = norm.d, norm.n_rhs
-    lanes = machine.lanes(dt)
-    groups = padded_count(p.batch, lanes) // lanes
-    work = trsm_group_working_bytes(p, machine)
-    gpr = groups_per_round(work, machine, total_groups=groups)
-    packed_warm = "l1" if work * min(gpr, groups) <= machine.l1.size else "l2"
 
     whole_in_regs = decision.whole_in_regs
     b_nopack = not decision.pack_b
@@ -238,7 +301,7 @@ def build_trsm_plan(problem: TrsmProblem, machine: MachineConfig,
             program=prog, a_buf="packT", a_off=0,
             b_buf=b_buf, b_off=0, x_buf=b_buf, x_off=0,
         ))
-        pack_a_bytes = tri_bytes * groups
+        pack_a_stride = tri_bytes
     else:
         blocks = decompose_dim(d, registry.trsm_block_main(dt))
         starts = tile_starts(blocks)
@@ -254,7 +317,7 @@ def build_trsm_plan(problem: TrsmProblem, machine: MachineConfig,
                 pos += blocks[ei] * dsz * eb
             tri_offs.append(pos)
             pos += dsz * (dsz + 1) // 2 * eb
-        pack_a_bytes = pos * groups
+        pack_a_stride = pos
         for q in range(n_pad // nc):
             col0 = q * nc
             for di, (dsz, dst) in enumerate(zip(blocks, starts)):
@@ -279,37 +342,19 @@ def build_trsm_plan(problem: TrsmProblem, machine: MachineConfig,
 
     a_dim = p.a_dim
     buffers = {
-        "A": BufferSpec("A", a_dim * a_dim * eb, warm="cold"),
-        "B": BufferSpec("B", p.m * p.n * eb,
-                        warm=packed_warm if b_nopack else "cold"),
-        "packT": BufferSpec("packT", pack_a_bytes // groups,
-                            warm=packed_warm),
+        "A": BufferSpec("A", a_dim * a_dim * eb),
+        "B": BufferSpec("B", p.m * p.n * eb),
+        "packT": BufferSpec("packT", pack_a_stride),
     }
     if not b_nopack:
-        buffers["workB"] = BufferSpec("workB", d * n_pad * eb,
-                                      warm=packed_warm)
+        buffers["workB"] = BufferSpec("workB", d * n_pad * eb)
 
-    divs = 0 if norm.unit else d * (2 if dt.is_complex else 1)
-    pack = PackCost(bytes_read=pack_a_bytes, bytes_written=pack_a_bytes,
-                    panels=(len(blocks) + sum(range(len(blocks)))) * groups,
-                    div_vectors=divs * groups, ew=dt.real_itemsize)
-    unpack = PackCost(ew=dt.real_itemsize)
-    if not b_nopack:
-        wb = d * n_pad * eb * groups
-        ob = p.m * p.n * eb * groups
-        pack = pack + PackCost(bytes_read=ob, bytes_written=wb,
-                               panels=groups, ew=dt.real_itemsize)
-        unpack = PackCost(bytes_read=wb, bytes_written=ob, panels=groups,
-                          ew=dt.real_itemsize)
-
+    meta = {
+        "norm": norm, "blocks": blocks, "n_pad": n_pad,
+        "whole_in_regs": whole_in_regs, "b_nopack": b_nopack,
+        "packing": decision.description,
+        "pack_reason_b": decision.reason_b,
+    }
     return ExecutionPlan(
-        kind="trsm", problem=p, machine=machine, calls=calls,
-        buffers=buffers, pack_cost=pack, unpack_cost=unpack,
-        groups=groups, groups_per_round=gpr,
-        meta={
-            "norm": norm, "blocks": blocks, "n_pad": n_pad,
-            "whole_in_regs": whole_in_regs, "b_nopack": b_nopack,
-            "packing": decision.description,
-            "pack_reason_b": decision.reason_b,
-        },
-    )
+        kind="trsm", machine=machine, calls=calls, meta=meta,
+        **_bind_batch("trsm", p, machine, calls, buffers, meta))

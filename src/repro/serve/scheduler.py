@@ -203,23 +203,12 @@ class Scheduler:
         iatf = self._iatf
         entries = bucket.entries
         machine, dt = iatf.machine, bucket.key.dtype
-        # Quantize the batch up to a lane multiple: the compact layout
-        # zero-pads there anyway, and planning on the padded size means
-        # every bucket with the same *group count* shares one PlanCache
-        # entry — otherwise a trickle of 5-, 6-, 7-request flushes
-        # builds a plan per size and the cache never hits.
-        n = len(entries)
-        lanes = machine.lanes(dt)
-        padded = -(-n // lanes) * lanes
-        problem = bucket.key.with_batch(padded)
+        # plans are keyed on the batch-free shape, so every flush size
+        # of one descriptor shares a PlanCache entry
+        problem = bucket.key.with_batch(len(entries))
 
         def stacked(pick) -> np.ndarray:
-            arr = np.stack([pick(e) for e in entries])
-            if padded != n:
-                pad = np.zeros((padded - n,) + arr.shape[1:],
-                               dtype=arr.dtype)
-                arr = np.concatenate([arr, pad])
-            return arr
+            return np.stack([pick(e) for e in entries])
 
         # planning is split from execution (prepare_* then the engine
         # directly — exactly what {gemm,trsm}_compact do internally) so
@@ -238,7 +227,7 @@ class Scheduler:
             marks["plan_cache"] = "hit" if hit else "compile"
             iatf.engine.execute_gemm(plan, ca, cb, cc, compiled=compiled)
             marks["execute"] = time.perf_counter()
-            return cc.to_matrices()[:n]
+            return cc.to_matrices()
         ca = compact_from_batch(stacked(lambda e: e.request.a), machine, dt)
         cb = compact_from_batch(stacked(lambda e: e.request.b), machine, dt)
         marks["stack"] = time.perf_counter()
@@ -247,4 +236,4 @@ class Scheduler:
         marks["plan_cache"] = "hit" if hit else "compile"
         iatf.engine.execute_trsm(plan, ca, cb, compiled=compiled)
         marks["execute"] = time.perf_counter()
-        return cb.to_matrices()[:n]
+        return cb.to_matrices()

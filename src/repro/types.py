@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 
+_NP_DTYPES = {"s": np.dtype(np.float32), "d": np.dtype(np.float64),
+              "c": np.dtype(np.complex64), "z": np.dtype(np.complex128)}
+_REAL_DTYPES = {"s": np.dtype(np.float32), "d": np.dtype(np.float64),
+                "c": np.dtype(np.float32), "z": np.dtype(np.float64)}
+
+
 class BlasDType(enum.Enum):
     """The four classic BLAS scalar types.
 
@@ -48,22 +54,12 @@ class BlasDType(enum.Enum):
     @property
     def np_dtype(self) -> np.dtype:
         """NumPy dtype of user-facing matrices."""
-        return {
-            BlasDType.S: np.dtype(np.float32),
-            BlasDType.D: np.dtype(np.float64),
-            BlasDType.C: np.dtype(np.complex64),
-            BlasDType.Z: np.dtype(np.complex128),
-        }[self]
+        return _NP_DTYPES[self.value]
 
     @property
     def real_dtype(self) -> np.dtype:
         """NumPy dtype of one real plane (compact storage is split re/im)."""
-        return {
-            BlasDType.S: np.dtype(np.float32),
-            BlasDType.D: np.dtype(np.float64),
-            BlasDType.C: np.dtype(np.float32),
-            BlasDType.Z: np.dtype(np.float64),
-        }[self]
+        return _REAL_DTYPES[self.value]
 
     @property
     def is_complex(self) -> bool:

@@ -63,12 +63,12 @@ class TestIatfIntegration:
 
     def test_eviction_bound_respected(self):
         iatf = IATF(KUNPENG_920, plan_cache_size=3)
-        plans = [iatf.plan_gemm(GemmProblem(2, 2, 2, "d", batch=b))
-                 for b in range(1, 6)]
+        plans = [iatf.plan_gemm(GemmProblem(s, s, s, "d", batch=4))
+                 for s in range(1, 6)]
         assert len(iatf._plan_cache) == 3
         assert iatf.plan_cache_stats["evictions"] == 2
         # evicted plan is rebuilt, not resurrected
-        again = iatf.plan_gemm(GemmProblem(2, 2, 2, "d", batch=1))
+        again = iatf.plan_gemm(GemmProblem(1, 1, 1, "d", batch=4))
         assert again is not plans[0]
 
     def test_hit_returns_same_object(self):

@@ -181,7 +181,7 @@ class TestLifecycleAndStats:
         assert payload["coalesce"]["max_batch"] == 4
 
     def test_plan_cache_shared_across_flushes(self):
-        # same-shaped buckets, lane-quantized: one plan, many hits
+        # same-shaped buckets share one batch-free plan: many hits
         rng = np.random.default_rng(6)
         a = rng.standard_normal((4, 4)).astype(np.float32)
         with BlasService(max_batch=4, max_wait_ms=0.5) as svc:

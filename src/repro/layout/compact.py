@@ -88,26 +88,42 @@ class CompactBatch:
         """Interleave a standard ``(batch, rows, cols)`` array.
 
         The batch axis is zero-padded up to a multiple of ``lanes``.
+        One transposing copy per component plane reads straight from
+        ``matrices`` (any strides; complex input through its real/imag
+        views) into the interleaved buffer, converting the dtype on the
+        way; only the last group's padding lanes are zeroed.
         """
         if matrices.ndim != 3:
             raise LayoutError(
                 f"expected (batch, rows, cols) array, got {matrices.ndim}-D")
         dt = BlasDType.from_any(dtype if dtype is not None else matrices.dtype)
-        matrices = np.ascontiguousarray(matrices, dtype=dt.np_dtype)
         batch, rows, cols = matrices.shape
+        ncomp = 2 if dt.is_complex else 1
         groups = padded_count(batch, lanes) // lanes
-        padded = np.zeros((groups * lanes, rows, cols), dtype=dt.np_dtype)
-        padded[:batch] = matrices
-        grouped = padded.reshape(groups, lanes, rows, cols)
+        buf = np.empty(groups * cols * rows * ncomp * lanes,
+                       dtype=dt.real_dtype)
+        # column-major (G, c, r, comp, P)
+        grid = buf.reshape(groups, cols, rows, ncomp, lanes)
+        planes = [matrices]
         if dt.is_complex:
-            planes = np.stack([grouped.real, grouped.imag], axis=2)
-            # (G, P, comp, r, c) -> column-major (G, c, r, comp, P)
-            interleaved = planes.transpose(0, 4, 3, 2, 1)
-        else:
-            # (G, P, r, c) -> column-major (G, c, r, P)
-            interleaved = grouped.transpose(0, 3, 2, 1)
-        buf = np.ascontiguousarray(interleaved,
-                                   dtype=dt.real_dtype).reshape(-1)
+            if np.iscomplexobj(matrices):
+                planes = [matrices.real, matrices.imag]
+            else:
+                grid[:, :, :, 1, :] = 0.0
+        full, tail = divmod(batch, lanes)
+        for comp, plane in enumerate(planes):
+            dst = grid[:, :, :, comp, :]
+            # (G, P, r, c) -> (G, c, r, P) for the complete groups, then
+            # (tail, r, c) -> (c, r, tail) for the partial last one
+            np.copyto(dst[:full],
+                      plane[:full * lanes].reshape(full, lanes, rows, cols)
+                      .transpose(0, 3, 2, 1), casting="unsafe")
+            if tail:
+                np.copyto(dst[full, :, :, :tail],
+                          plane[full * lanes:].transpose(2, 1, 0),
+                          casting="unsafe")
+        if tail:
+            grid[full, :, :, :, tail:] = 0.0
         return cls(buf, rows, cols, batch, dt, lanes)
 
     # -- geometry --------------------------------------------------------
@@ -170,28 +186,37 @@ class CompactBatch:
         return colmajor.transpose(0, 2, 1, 3, 4)
 
     def to_matrices(self) -> np.ndarray:
-        """De-interleave back to a standard ``(batch, rows, cols)`` array."""
-        grid = self.as_grid()
-        if self.dtype.is_complex:
-            # (G, r, c, comp, P) -> complex (G, P, r, c)
-            planes = grid.transpose(0, 4, 3, 1, 2)
-            full = planes[:, :, 0] + 1j * planes[:, :, 1]
-            full = full.astype(self.dtype.np_dtype)
-        else:
-            full = grid[:, :, :, 0, :].transpose(0, 3, 1, 2)
-        out = full.reshape(self.groups * self.lanes, self.rows, self.cols)
-        return np.ascontiguousarray(out[: self.batch])
+        """De-interleave back to a fresh ``(batch, rows, cols)`` array.
+
+        One copy into the preallocated output (complex through its real
+        view), so Inf/NaN/-0.0 components come back bit-for-bit.
+        """
+        out = np.empty((self.batch, self.rows, self.cols),
+                       dtype=self.dtype.np_dtype)
+        # (batch, r, c, comp) real view of the output
+        dst = out.view(self.dtype.real_dtype).reshape(
+            self.batch, self.rows, self.cols, self.ncomp)
+        grid = self.as_grid()            # (G, r, c, comp, P)
+        full, tail = divmod(self.batch, self.lanes)
+        np.copyto(dst[:full * self.lanes].reshape(
+            full, self.lanes, self.rows, self.cols, self.ncomp),
+            grid[:full].transpose(0, 4, 1, 2, 3))
+        if tail:
+            np.copyto(dst[full * self.lanes:],
+                      grid[full, :, :, :, :tail].transpose(3, 0, 1, 2))
+        return out
 
     def matrix(self, index: int) -> np.ndarray:
         """One logical matrix (copy), mostly for tests and examples."""
         if not 0 <= index < self.batch:
             raise LayoutError(f"matrix index {index} out of range {self.batch}")
         g, lane = divmod(index, self.lanes)
-        grid = self.as_grid()
-        if self.dtype.is_complex:
-            return (grid[g, :, :, 0, lane]
-                    + 1j * grid[g, :, :, 1, lane]).astype(self.dtype.np_dtype)
-        return grid[g, :, :, 0, lane].copy()
+        out = np.empty((self.rows, self.cols), dtype=self.dtype.np_dtype)
+        # same exact path as to_matrices: copy through the real view
+        np.copyto(out.view(self.dtype.real_dtype).reshape(
+            self.rows, self.cols, self.ncomp),
+            self.as_grid()[g, :, :, :, lane])
+        return out
 
     def extract_block(self, i0: int, i1: int, j0: int,
                       j1: int) -> "CompactBatch":

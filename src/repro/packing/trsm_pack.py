@@ -100,18 +100,18 @@ class PackedTriangles:
 def _reciprocal(values: np.ndarray, is_complex: bool) -> np.ndarray:
     """Elementwise reciprocal on an (..., ncomp, P) slab of planes.
 
-    Padding lanes hold zeros; they are forced to 1 before inverting so
-    the padded solves stay finite (their results are never unpacked).
+    A zero diagonal gives Inf/NaN, as the reference BLAS division does;
+    the caller sets padding lanes to 1 first so padded solves stay
+    finite.
     """
-    if not is_complex:
-        safe = np.where(values == 0.0, 1.0, values)
-        return 1.0 / safe
-    re, im = values[..., 0, :], values[..., 1, :]
-    denom = re * re + im * im
-    denom = np.where(denom == 0.0, 1.0, denom)
-    out = np.empty_like(values)
-    out[..., 0, :] = re / denom
-    out[..., 1, :] = -im / denom
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not is_complex:
+            return 1.0 / values
+        re, im = values[..., 0, :], values[..., 1, :]
+        denom = re * re + im * im
+        out = np.empty_like(values)
+        out[..., 0, :] = re / denom
+        out[..., 1, :] = -im / denom
     return out
 
 
@@ -127,6 +127,7 @@ def pack_trsm_a(a: CompactBatch, norm: NormalizedTrsm,
     esz = a.dtype.real_itemsize
     elem_bytes = a.elem_stride * esz     # bytes per gathered element
     is_c = a.dtype.is_complex
+    valid_last = a.batch - (a.groups - 1) * a.lanes   # lanes in use
     starts: list[int] = []
     pos = 0
     for b in blocks:
@@ -158,7 +159,13 @@ def pack_trsm_a(a: CompactBatch, norm: NormalizedTrsm,
         panel = np.ascontiguousarray(grid[:, si, sj, :, :])  # (G, T, ncomp, P)
         if not norm.unit:
             diag_sel = np.array([t for t, (i, j) in enumerate(ij) if i == j])
-            panel[:, diag_sel] = _reciprocal(panel[:, diag_sel], is_c)
+            diag = panel[:, diag_sel]        # (G, dsz, ncomp, P) copy
+            # padding lanes of the last group solve against 1 (their
+            # results are never unpacked); real zeros stay singular
+            if valid_last < a.lanes:
+                diag[-1, :, 0, valid_last:] = 1.0
+                diag[-1, :, 1:, valid_last:] = 0.0
+            panel[:, diag_sel] = _reciprocal(diag, is_c)
         panels.append(panel)
         tri_offsets.append(byte_pos)
         byte_pos += len(ij) * elem_bytes

@@ -83,7 +83,10 @@ __all__ = ["ExecutorBackend", "InterpretBackend", "CompiledBackend",
            "BACKENDS", "DEFAULT_BACKEND", "DEFAULT_INNER",
            "resolve_backend", "backend_name"]
 
-DEFAULT_BACKEND = "compiled"
+DEFAULT_BACKEND = "fused"
+"""What ``IATF()``/``BlasService()`` run on when no backend is named:
+the replay of the pass-optimized stream every lowering already builds.
+``megakernel`` is faster warm but pays a compile per new shape."""
 
 DEFAULT_INNER = "fused"
 """The inner backend a ``parallel`` wrapper shards over when none is

@@ -6,6 +6,7 @@ import pytest
 from repro.api import (compact_from_batch, compact_gemm, compact_to_batch,
                        compact_trsm, default_framework)
 from repro.machine.machines import KUNPENG_920, XEON_GOLD_6240
+from repro.runtime.backends import DEFAULT_BACKEND
 from tests.conftest import ALL_DTYPES, random_batch, random_triangular
 
 
@@ -74,7 +75,7 @@ class TestBackendSelection:
         assert default is not interp
         assert default is default_framework()
         assert interp is default_framework(backend="interpret")
-        assert default.backend.name == "compiled"
+        assert default.backend.name == DEFAULT_BACKEND
         assert interp.backend.name == "interpret"
 
     def test_backends_agree_bit_for_bit(self, rng):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import IATF, KUNPENG_920, obs
+from repro.runtime.backends import DEFAULT_BACKEND
 from repro.types import GemmProblem, TrsmProblem
 
 
@@ -149,7 +150,7 @@ class TestReportObject:
         p = GemmProblem(4, 4, 4, "d", batch=64)
         report = iatf.explain_gemm(p)
         lines = report.section("execution backend")
-        assert any("compiled" in line for line in lines)
+        assert lines[0].startswith(f"backend: {DEFAULT_BACKEND} ")
         assert any("commands" in line for line in lines)
 
     def test_explain_shows_pass_pipeline_stats(self):

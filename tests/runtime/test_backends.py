@@ -215,10 +215,14 @@ def _tampered(plan, **repl):
 
 
 class TestBackendSelection:
-    def test_default_is_compiled(self):
-        assert DEFAULT_BACKEND == "compiled"
-        assert Engine(KUNPENG_920).backend.name == "compiled"
-        assert IATF(KUNPENG_920).backend.name == "compiled"
+    def test_default_is_fused(self):
+        # every lowering builds the pass-optimized stream; the default
+        # replays it (IATF and BlasService follow DEFAULT_BACKEND)
+        from repro.serve import BlasService
+        assert DEFAULT_BACKEND == "fused"
+        assert Engine(KUNPENG_920).backend.name == "fused"
+        assert IATF(KUNPENG_920).backend.name == "fused"
+        assert BlasService().iatf.backend.name == "fused"
 
     def test_registry_contents(self):
         assert set(BACKENDS) == {"interpret", "compiled", "fused",
@@ -383,7 +387,7 @@ class TestObservability:
         with obs.scoped() as reg:
             fw.gemm(a, a, np.zeros_like(a), beta=0.0)
             counters = reg.counters()
-            assert counters.get("backend.compiled.runs", 0) >= 1
+            assert counters.get(f"backend.{DEFAULT_BACKEND}.runs", 0) >= 1
             assert counters.get("lower.plans", 0) >= 1
             assert counters.get("lower.commands", 0) > 0
             assert any(s.name == "lower.plan" for s in reg.spans)

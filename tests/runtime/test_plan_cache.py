@@ -1,6 +1,7 @@
 """Bounded LRU plan cache: eviction order, stats, and obs counters."""
 
 from repro import IATF, KUNPENG_920, obs
+from repro.runtime.backends import DEFAULT_BACKEND
 from repro.runtime.iatf import PlanCache
 from repro.types import GemmProblem
 
@@ -149,7 +150,7 @@ class TestCompiledSideSlot:
             iatf.gemm(a, a, np.zeros_like(a), beta=0.0)
             counters = reg.counters()
         assert counters["lower.plans"] == 1          # lowered once
-        assert counters["backend.compiled.runs"] == 2
+        assert counters[f"backend.{DEFAULT_BACKEND}.runs"] == 2
 
 
 class TestThreadSafety:
